@@ -11,11 +11,13 @@ import (
 
 // The paper's figures depend on the *ratio* of device compute speed to
 // network bandwidth: its VMs sustained tens of GFLOP/s (MKL-backed
-// PyTorch) against 200–1000 Mbps links. This repository's pure-Go kernels
-// are an order of magnitude slower, so running measured experiments at the
-// paper's literal bandwidths would make communication look nearly free and
-// invert the comparison (tensor parallelism's perfect compute split would
-// win). Calibration rescales the emulated bandwidth by
+// PyTorch) against 200–1000 Mbps links. This repository's kernels are
+// several times slower: MeasureDeviceFlops reads 5.4–6.4 GMAC/s on one core
+// of a shared 2-vCPU Xeon host (amd64, SSE2 axpy), against the paper's
+// ≈25 GMAC/s. Running measured experiments at the paper's literal
+// bandwidths would make communication look cheaper than it was and tilt
+// the comparison toward tensor parallelism's perfect compute split.
+// Calibration rescales the emulated bandwidth by
 //
 //	measured-kernel-throughput / paper-device-throughput
 //

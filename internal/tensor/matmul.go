@@ -10,7 +10,7 @@ import (
 // this the goroutine fan-out overhead dominates.
 const parallelThreshold = 16
 
-// MatMul returns a × b. It panics on shape mismatch only via the error; use
+// MatMul returns a × b, or an ErrShape error when a.cols != b.rows; use
 // MustMatMul in contexts where shapes are known correct.
 //
 // The implementation is an i-k-j loop order (streaming over b's rows) which
@@ -21,7 +21,7 @@ func MatMul(a, b *Matrix) (*Matrix, error) {
 		return nil, fmt.Errorf("%w: matmul %dx%d × %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
 	}
 	out := New(a.rows, b.cols)
-	matMulInto(out, a, b, workerCount())
+	parallelRows(matMulRows, out, a, b, workerCount())
 	return out, nil
 }
 
@@ -43,7 +43,7 @@ func MatMulSerial(a, b *Matrix) (*Matrix, error) {
 		return nil, fmt.Errorf("%w: matmul %dx%d × %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
 	}
 	out := New(a.rows, b.cols)
-	matMulInto(out, a, b, 1)
+	matMulRows(out, a, b, 0, a.rows)
 	return out, nil
 }
 
@@ -71,10 +71,13 @@ func workerCount() int {
 	return workers
 }
 
-func matMulInto(out, a, b *Matrix, nworkers int) {
+// parallelRows computes out's rows with kernel, split into contiguous chunks
+// of at least parallelThreshold rows, one goroutine per chunk, and returns
+// when all are done. With one worker or too few rows it runs inline.
+func parallelRows(kernel func(out, a, b *Matrix, rowStart, rowEnd int), out, a, b *Matrix, nworkers int) {
 	rows := a.rows
 	if nworkers <= 1 || rows < 2*parallelThreshold {
-		matMulRows(out, a, b, 0, rows)
+		kernel(out, a, b, 0, rows)
 		return
 	}
 	chunk := (rows + nworkers - 1) / nworkers
@@ -87,7 +90,7 @@ func matMulInto(out, a, b *Matrix, nworkers int) {
 		wg.Add(1)
 		go func(s, e int) {
 			defer wg.Done()
-			matMulRows(out, a, b, s, e)
+			kernel(out, a, b, s, e)
 		}(start, end)
 	}
 	wg.Wait()
@@ -110,8 +113,10 @@ func matMulRows(out, a, b *Matrix, rowStart, rowEnd int) {
 	}
 }
 
-// axpy computes dst += alpha * src with 4-way unrolling.
-func axpy(dst, src []float32, alpha float32) {
+// axpyGeneric computes dst += alpha * src with 4-way unrolling. It is the
+// portable implementation of axpy and the reference its amd64 kernel must
+// match bit for bit.
+func axpyGeneric(dst, src []float32, alpha float32) {
 	n := len(dst)
 	i := 0
 	for ; i+4 <= n; i += 4 {
@@ -132,26 +137,7 @@ func MatMulT(a, bT *Matrix) (*Matrix, error) {
 		return nil, fmt.Errorf("%w: matmulT %dx%d × (%dx%d)ᵀ", ErrShape, a.rows, a.cols, bT.rows, bT.cols)
 	}
 	out := New(a.rows, bT.rows)
-	rows := a.rows
-	nw := workerCount()
-	if nw <= 1 || rows < 2*parallelThreshold {
-		matMulTRows(out, a, bT, 0, rows)
-		return out, nil
-	}
-	chunk := (rows + nw - 1) / nw
-	if chunk < parallelThreshold {
-		chunk = parallelThreshold
-	}
-	var wg sync.WaitGroup
-	for start := 0; start < rows; start += chunk {
-		end := min(start+chunk, rows)
-		wg.Add(1)
-		go func(s, e int) {
-			defer wg.Done()
-			matMulTRows(out, a, bT, s, e)
-		}(start, end)
-	}
-	wg.Wait()
+	parallelRows(matMulTRows, out, a, bT, workerCount())
 	return out, nil
 }
 

@@ -2,24 +2,42 @@ package tensor
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
 
 // naiveMatMul is the reference ijk implementation used to validate the
-// optimized kernels.
+// optimized kernels. It accumulates each output in float32 in k order, the
+// order the ikj kernel adds into an output element, so the two agree bit
+// for bit.
 func naiveMatMul(a, b *Matrix) *Matrix {
 	out := New(a.rows, b.cols)
 	for i := 0; i < a.rows; i++ {
 		for j := 0; j < b.cols; j++ {
-			var s float64
+			var s float32
 			for k := 0; k < a.cols; k++ {
-				s += float64(a.At(i, k)) * float64(b.At(k, j))
+				s += a.At(i, k) * b.At(k, j)
 			}
-			out.Set(i, j, float32(s))
+			out.Set(i, j, s)
 		}
 	}
 	return out
+}
+
+// firstBitMismatch returns the first element where got and want differ in
+// their bit patterns, or "" when they are identical.
+func firstBitMismatch(got, want *Matrix) string {
+	if got.rows != want.rows || got.cols != want.cols {
+		return fmt.Sprintf("shape %dx%d, want %dx%d", got.rows, got.cols, want.rows, want.cols)
+	}
+	for i, g := range got.data {
+		if math.Float32bits(g) != math.Float32bits(want.data[i]) {
+			return fmt.Sprintf("element %d = %g, want %g", i, g, want.data[i])
+		}
+	}
+	return ""
 }
 
 func TestMatMulSmall(t *testing.T) {
@@ -55,11 +73,21 @@ func TestMatMulMatchesNaive(t *testing.T) {
 		n := 1 + rng.Intn(50)
 		a := rng.Normal(m, k, 1)
 		b := rng.Normal(k, n, 1)
-		got, err := MatMul(a, b)
-		if err != nil {
-			return false
+		want := naiveMatMul(a, b)
+		for name, mul := range map[string]func(a, b *Matrix) (*Matrix, error){
+			"MatMul": MatMul, "MatMulSerial": MatMulSerial,
+		} {
+			got, err := mul(a, b)
+			if err != nil {
+				t.Errorf("%s %dx%dx%d: %v", name, m, k, n, err)
+				return false
+			}
+			if d := firstBitMismatch(got, want); d != "" {
+				t.Errorf("%s %dx%dx%d: %s", name, m, k, n, d)
+				return false
+			}
 		}
-		return got.AlmostEqual(naiveMatMul(a, b), 1e-4)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -167,5 +195,35 @@ func BenchmarkMatMulSerial128(b *testing.B) {
 		if _, err := MatMulSerial(x, y); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMatMulShapes times one serial matmul at the shapes the benchmark
+// workloads spend their compute on, and reports GFLOP/s (2·m·k·n per op).
+func BenchmarkMatMulShapes(b *testing.B) {
+	for _, s := range []struct {
+		name    string
+		m, k, n int
+	}{
+		{"lmhead_2x768x50257", 2, 768, 50257},
+		{"decode_ffn_2x768x3072", 2, 768, 3072},
+		{"prefill_ffn_11x1024x4096", 11, 1024, 4096},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			prev := SetWorkers(1)
+			defer SetWorkers(prev)
+			rng := NewRNG(1)
+			x := rng.Normal(s.m, s.k, 1)
+			y := rng.Normal(s.k, s.n, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := MatMul(x, y); err != nil {
+					b.Fatal(err)
+				}
+			}
+			flops := 2 * float64(s.m) * float64(s.k) * float64(s.n) * float64(b.N)
+			b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }

@@ -2,11 +2,12 @@
 // Voltage distributed inference engine.
 //
 // The package provides a row-major float32 matrix type with the operations a
-// transformer forward pass needs: matrix multiplication (blocked and
-// optionally parallel), transposition, row-wise softmax, layer
+// transformer forward pass needs: matrix multiplication (i-k-j loop order,
+// optionally parallel over rows), transposition, row-wise softmax, layer
 // normalization, activation functions, concatenation and position (row)
 // slicing. Everything is implemented from scratch on the standard library so
-// the repository has no external dependencies.
+// the repository has no external dependencies; the one assembly kernel, an
+// SSE2 axpy on amd64, is bit-identical to the portable Go loop it replaces.
 //
 // All operations either return new matrices or write into a caller-supplied
 // destination; input matrices are never mutated unless the method name makes

@@ -1,11 +1,20 @@
 #!/usr/bin/env bash
-# Repository CI gate: vet, build, full test suite, then the concurrency
-# suites under the race detector (the serving runtime's correctness claims —
-# overlapping requests, per-request stat scopes, pooled buffers — only mean
-# something raced), and finally the chaos stage: the fault-injection suite
-# twice under -race, since its bugs are scheduling-dependent by nature.
+# Repository CI gate: gofmt, vet, build (also for arm64), full test suite,
+# then the concurrency suites under the race detector (the serving
+# runtime's correctness claims — overlapping requests, per-request stat
+# scopes, pooled buffers — only mean something raced), and finally the
+# chaos stage: the fault-injection suite twice under -race, since its bugs
+# are scheduling-dependent by nature.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== gofmt -l (tracked .go files)"
+UNFORMATTED="$(git ls-files -z '*.go' | xargs -0 gofmt -l)"
+if [ -n "$UNFORMATTED" ]; then
+    echo "gofmt: these files need formatting:" >&2
+    echo "$UNFORMATTED" >&2
+    exit 1
+fi
 
 echo "== go vet ./..."
 go vet ./...
@@ -18,6 +27,12 @@ go build ./...
 
 echo "== go build ./cmd/..."
 go build ./cmd/...
+
+echo "== GOARCH=arm64 go vet ./internal/tensor/ && GOARCH=arm64 go build ./..."
+# Cross-check the portable (!amd64) matmul kernel so it cannot rot while
+# amd64 runs the assembly one.
+GOARCH=arm64 go vet ./internal/tensor/
+GOARCH=arm64 go build ./...
 
 echo "== go test ./..."
 go test ./...

@@ -580,11 +580,9 @@ func BenchmarkExtPipelineBatch(b *testing.B) {
 // BenchmarkServeThroughput measures the serving runtime's gain over
 // back-to-back blocking calls at K=3 on the Tiny model: "blocking" issues
 // Infer calls sequentially (each pays broadcast, All-Gather and collect
-// propagation delays in series), while "serve-*" keeps a window of
+// propagation delays in series), while "serve" keeps a window of
 // outstanding Submits so the dispatcher broadcasts request i+1 while the
-// workers compute request i and the collector drains request i−1. The
-// pooled/unpooled pair isolates the matrix- and buffer-pool savings in
-// allocs/op.
+// workers compute request i and the collector drains request i−1.
 func BenchmarkServeThroughput(b *testing.B) {
 	prev := voltage.SetComputeWorkers(1)
 	defer voltage.SetComputeWorkers(prev)
@@ -634,8 +632,8 @@ func BenchmarkServeThroughput(b *testing.B) {
 		reportRate(b)
 	})
 
-	serve := func(b *testing.B, opts cluster.Options) {
-		c := newServeCluster(b, opts)
+	b.Run("serve", func(b *testing.B) {
+		c := newServeCluster(b, cluster.Options{})
 		c.Serve()
 		x := serveInput(b, c)
 		ctx := context.Background()
@@ -663,12 +661,5 @@ func BenchmarkServeThroughput(b *testing.B) {
 			}
 		}
 		reportRate(b)
-	}
-	b.Run("serve-pooled", func(b *testing.B) { serve(b, cluster.Options{}) })
-	b.Run("serve-unpooled", func(b *testing.B) { serve(b, cluster.Options{NoPooling: true}) })
-	// The metrics-disabled variant bounds the observability layer's cost:
-	// serve-pooled (metrics on, the default) must stay within noise of it —
-	// the instruments are pre-resolved atomics, nothing on the data path
-	// takes a lock or allocates.
-	b.Run("serve-nometrics", func(b *testing.B) { serve(b, cluster.Options{NoMetrics: true}) })
+	})
 }

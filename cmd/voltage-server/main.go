@@ -165,9 +165,6 @@ func run(args []string, w io.Writer) error {
 		closers = append(closers, eng.Close)
 		backend = eng
 		registry = eng.Cluster().MetricsRegistry()
-		if registry == nil {
-			registry = metrics.NewRegistry()
-		}
 	}
 	defer func() {
 		for i := len(closers) - 1; i >= 0; i-- {

@@ -34,15 +34,18 @@ func runBatch(c *Cluster, prompts [][]int, steps int) ([]*GenerateResult, []erro
 }
 
 func TestBatchedGenerateWorkerKilledMidBatchResumes(t *testing.T) {
-	// Rank 1 dies mid-batch: its receive stream is cut after the co-batched
+	// Rank 0 dies mid-batch: its receive stream is cut after the co-batched
 	// prefills have landed (4 joins × 4 receives each, then one receive per
-	// fused step frame), killing a fused round under 4 live sequences. The
-	// batcher must blame rank 1, re-slice the partition over ranks {0,2},
-	// and resume every survivor from its committed prefix — all four token
-	// streams stay bit-identical to solo runs.
+	// fused step frame), killing a fused round under 4 live sequences. Rank
+	// 0 is the lowest live rank, so it reports the fused rows the terminal
+	// waits on every step; the batch cannot finish before its 21st receive,
+	// and the fault always lands in a fused round. The batcher must blame
+	// rank 0, re-slice the partition over ranks {1,2}, and resume every
+	// survivor from its committed prefix — all four token streams stay
+	// bit-identical to solo runs.
 	c := newTinyDecoder(t, 3, Options{
 		MaxBatch: 4, BatchWindow: 60 * time.Millisecond, MaxRetries: 2,
-		WrapTransport: wrapRank(1, func(p comm.Peer) comm.Peer {
+		WrapTransport: wrapRank(0, func(p comm.Peer) comm.Peer {
 			return &comm.FlakyPeer{Inner: p, FailRecvAfter: 21}
 		}),
 	})
@@ -69,8 +72,8 @@ func TestBatchedGenerateWorkerKilledMidBatchResumes(t *testing.T) {
 	if resumed == 0 {
 		t.Error("no stream rode out the fault: the injected failure never hit a batch round")
 	}
-	if h := c.Health()[1]; h.State != Unhealthy || !errors.Is(h.LastErr, comm.ErrInjected) {
-		t.Errorf("rank 1 health = %v (%v), want Unhealthy with ErrInjected", h.State, h.LastErr)
+	if h := c.Health()[0]; h.State != Unhealthy || !errors.Is(h.LastErr, comm.ErrInjected) {
+		t.Errorf("rank 0 health = %v (%v), want Unhealthy with ErrInjected", h.State, h.LastErr)
 	}
 	snap := c.Metrics()
 	if got := snap.Counter(`voltage_batch_recoveries_total{cause="injected"}`); got < 1 {

@@ -9,6 +9,7 @@ import (
 	"voltage/internal/comm"
 	"voltage/internal/model"
 	"voltage/internal/netem"
+	"voltage/internal/tensor"
 )
 
 // TestConcurrentSubmitsMatchSequential is the serving runtime's core
@@ -84,26 +85,43 @@ func TestConcurrentSubmitsMatchSequential(t *testing.T) {
 	}
 }
 
-// TestPooledMatchesUnpooled drives the same requests through a pooled and
-// an unpooled cluster; repeated submissions force matrix reuse, which must
-// never leak stale values into outputs.
-func TestPooledMatchesUnpooled(t *testing.T) {
-	pooled := newTiny(t, 3, Options{})
-	plain := newTiny(t, 3, Options{NoPooling: true})
+// TestWarmPoolMatchesFreshCluster pins that matrix recycling never leaks
+// stale values into outputs. Each input's reference is the first request
+// of its own fresh cluster, whose pool holds nothing from an earlier
+// request. Repeated, interleaved submissions of every input on one warm
+// cluster — whose pool hands each request matrices freed by the others —
+// must match those references bit for bit.
+func TestWarmPoolMatchesFreshCluster(t *testing.T) {
+	ctx := context.Background()
+	warm := newTiny(t, 3, Options{})
+	sizes := []int{6, 11}
+	inputs := make([]*tensor.Matrix, len(sizes))
+	refs := make([]*tensor.Matrix, len(sizes))
+	for i, n := range sizes {
+		inputs[i] = embedTiny(t, warm, n)
+		res, err := newTiny(t, 3, Options{}).Infer(ctx, StrategyVoltage, inputs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[i] = res.Output
+	}
+	var pends []*Pending
 	for round := 0; round < 3; round++ {
-		for _, n := range []int{6, 11} {
-			x := embedTiny(t, pooled, n)
-			a, err := pooled.Infer(context.Background(), StrategyVoltage, x)
+		for _, x := range inputs {
+			pend, err := warm.Submit(ctx, StrategyVoltage, x)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := plain.Infer(context.Background(), StrategyVoltage, x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !a.Output.Equal(b.Output) {
-				t.Fatalf("round %d n=%d: pooled output differs from unpooled", round, n)
-			}
+			pends = append(pends, pend)
+		}
+	}
+	for j, pend := range pends {
+		res, err := pend.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i := j % len(sizes); !res.Output.Equal(refs[i]) {
+			t.Fatalf("submission %d (n=%d): warm-pool output differs from the fresh-cluster reference", j, sizes[i])
 		}
 	}
 }

@@ -10,52 +10,66 @@ import (
 	"voltage/internal/trace"
 )
 
-func TestRecorderCapturesVoltageBreakdown(t *testing.T) {
-	rec, err := trace.NewRecorder(3)
-	if err != nil {
-		t.Fatal(err)
+// workerPhases sums a traced result's compute and comm spans per worker
+// rank; the terminal (rank k) does neither and is left out.
+func workerPhases(t *testing.T, res *Result, k int) (compute, comm []time.Duration) {
+	t.Helper()
+	if res.Trace == nil {
+		t.Fatal("result carries no trace; was Options.TraceRequests set?")
 	}
+	compute, comm = make([]time.Duration, k), make([]time.Duration, k)
+	for _, s := range res.Trace.Spans() {
+		if s.Rank >= k {
+			continue
+		}
+		switch s.Phase {
+		case trace.PhaseCompute:
+			compute[s.Rank] += s.Dur
+		case trace.PhaseComm:
+			comm[s.Rank] += s.Dur
+		}
+	}
+	return compute, comm
+}
+
+func TestTraceCapturesVoltageBreakdown(t *testing.T) {
 	c, err := NewMem(model.Tiny().Scaled(4), 3, Options{
-		Profile:  netem.Profile{BandwidthMbps: 100},
-		Recorder: rec,
+		Profile:       netem.Profile{BandwidthMbps: 100},
+		TraceRequests: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	x := embedTiny(t, c, 24)
-	if _, err := c.Infer(context.Background(), StrategyVoltage, x); err != nil {
+	res, err := c.Infer(context.Background(), StrategyVoltage, embedTiny(t, c, 24))
+	if err != nil {
 		t.Fatal(err)
 	}
-	rep := rec.Snapshot()
-	for _, d := range rep.Devices {
-		if d.Compute <= 0 {
-			t.Fatalf("device %d recorded no compute", d.Rank)
+	compute, comm := workerPhases(t, res, 3)
+	for r := range compute {
+		if compute[r] <= 0 {
+			t.Fatalf("device %d recorded no compute", r)
 		}
-		if d.Comm <= 0 {
-			t.Fatalf("device %d recorded no comm", d.Rank)
+		if comm[r] <= 0 {
+			t.Fatalf("device %d recorded no comm", r)
 		}
 	}
 }
 
-func TestRecorderCapturesTPBreakdown(t *testing.T) {
-	rec, err := trace.NewRecorder(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewMem(model.Tiny(), 2, Options{Recorder: rec})
+func TestTraceCapturesTPBreakdown(t *testing.T) {
+	c, err := NewMem(model.Tiny(), 2, Options{TraceRequests: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	x := embedTiny(t, c, 12)
-	if _, err := c.Infer(context.Background(), StrategyTensorParallel, x); err != nil {
+	res, err := c.Infer(context.Background(), StrategyTensorParallel, embedTiny(t, c, 12))
+	if err != nil {
 		t.Fatal(err)
 	}
-	rep := rec.Snapshot()
-	for _, d := range rep.Devices {
-		if d.Compute <= 0 || d.Comm <= 0 {
-			t.Fatalf("device %d breakdown incomplete: %+v", d.Rank, d)
+	compute, comm := workerPhases(t, res, 2)
+	for r := range compute {
+		if compute[r] <= 0 || comm[r] <= 0 {
+			t.Fatalf("device %d breakdown incomplete: compute %v comm %v", r, compute[r], comm[r])
 		}
 	}
 }
@@ -64,24 +78,26 @@ func TestTPCommFractionExceedsVoltage(t *testing.T) {
 	// The crux of the paper in one number: under the same bandwidth, TP
 	// spends a larger fraction of its time communicating than Voltage.
 	run := func(strategy Strategy) float64 {
-		rec, err := trace.NewRecorder(3)
-		if err != nil {
-			t.Fatal(err)
-		}
 		c, err := NewMem(model.Tiny().Scaled(4), 3, Options{
-			Profile:     netem.Profile{BandwidthMbps: 20, Latency: 200 * time.Microsecond},
-			Recorder:    rec,
-			DeviceFlops: 2e8,
+			Profile:       netem.Profile{BandwidthMbps: 20, Latency: 200 * time.Microsecond},
+			TraceRequests: true,
+			DeviceFlops:   2e8,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		x := embedTiny(t, c, 32)
-		if _, err := c.Infer(context.Background(), strategy, x); err != nil {
+		res, err := c.Infer(context.Background(), strategy, embedTiny(t, c, 32))
+		if err != nil {
 			t.Fatal(err)
 		}
-		return rec.Snapshot().Mean().CommFraction()
+		compute, comm := workerPhases(t, res, 3)
+		var computeSum, commSum time.Duration
+		for r := range compute {
+			computeSum += compute[r]
+			commSum += comm[r]
+		}
+		return float64(commSum) / float64(computeSum+commSum)
 	}
 	v := run(StrategyVoltage)
 	tp := run(StrategyTensorParallel)

@@ -30,22 +30,19 @@ type BreakdownRow struct {
 }
 
 // BreakdownMeasured measures the per-device mean compute and communication
-// time of Voltage and tensor parallelism on a real run.
+// time of Voltage and tensor parallelism on a real run, from the request's
+// span trace. Only the K workers count: the terminal's boundary work is
+// not a device's compute or communication.
 func BreakdownMeasured(ctx context.Context, cfg model.Config, k int, profile netem.Profile, cal Calibration, seed int64) ([]BreakdownRow, error) {
 	var rows []BreakdownRow
 	var outerErr error
 	singleThreaded(func() {
 		for _, strategy := range []cluster.Strategy{cluster.StrategyVoltage, cluster.StrategyTensorParallel} {
-			rec, err := trace.NewRecorder(k)
-			if err != nil {
-				outerErr = err
-				return
-			}
 			c, err := cluster.NewMem(cfg, k, cluster.Options{
-				Profile:     cal.Apply(profile),
-				Seed:        seed,
-				DeviceFlops: cal.DeviceFlops,
-				Recorder:    rec,
+				Profile:       cal.Apply(profile),
+				Seed:          seed,
+				DeviceFlops:   cal.DeviceFlops,
+				TraceRequests: true,
 			})
 			if err != nil {
 				outerErr = err
@@ -63,12 +60,27 @@ func BreakdownMeasured(ctx context.Context, cfg model.Config, k int, profile net
 				outerErr = fmt.Errorf("%v: %w", strategy, err)
 				return
 			}
-			mean := rec.Snapshot().Mean()
+			var compute, comm time.Duration
+			for _, s := range res.Trace.Spans() {
+				if s.Rank >= k {
+					continue
+				}
+				switch s.Phase {
+				case trace.PhaseCompute:
+					compute += s.Dur
+				case trace.PhaseComm:
+					comm += s.Dur
+				}
+			}
+			var commFraction float64
+			if compute+comm > 0 {
+				commFraction = float64(comm) / float64(compute+comm)
+			}
 			rows = append(rows, BreakdownRow{
 				Strategy:     strategy.String(),
-				ComputeSec:   mean.Compute.Seconds(),
-				CommSec:      mean.Comm.Seconds(),
-				CommFraction: mean.CommFraction(),
+				ComputeSec:   compute.Seconds() / float64(k),
+				CommSec:      comm.Seconds() / float64(k),
+				CommFraction: commFraction,
 				LatencySec:   res.Latency.Seconds(),
 			})
 		}

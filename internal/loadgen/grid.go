@@ -14,7 +14,6 @@ import (
 
 	"voltage/internal/cluster"
 	"voltage/internal/core"
-	"voltage/internal/metrics"
 	"voltage/internal/model"
 	"voltage/internal/netem"
 	"voltage/internal/sched"
@@ -197,12 +196,8 @@ func runCell(ctx context.Context, cfg GridConfig, mcfg model.Config, workers, ma
 		return nil, err
 	}
 	defer eng.Close()
-	registry := eng.Cluster().MetricsRegistry()
-	if registry == nil {
-		registry = metrics.NewRegistry()
-	}
 	gw, err := server.New(eng, server.Options{
-		Registry: registry,
+		Registry: eng.Cluster().MetricsRegistry(),
 		Sched:    sched.Options{Workers: cfg.GatewayWorkers},
 	})
 	if err != nil {

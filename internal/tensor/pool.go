@@ -10,7 +10,8 @@ import "sync"
 // Storage is keyed by element count, not shape, so an N×F buffer freed by
 // one request can back an F×N (or any same-size) matrix of the next. The
 // zero value is ready to use; a nil *MatrixPool degrades to plain
-// allocation, which is how the runtime disables pooling.
+// allocation, which is how poolless callers (Decode, comm's one-shot
+// collectives) use the pooled code paths.
 //
 // Contract: Get returns a matrix with UNSPECIFIED contents (stale values
 // from a previous user are expected) — callers must fully overwrite it.

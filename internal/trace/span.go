@@ -5,12 +5,11 @@ import (
 	"time"
 )
 
-// Per-request tracing. A Recorder aggregates phase time across the life of
-// a cluster; a RequestTrace records the individual per-device, per-layer
-// spans of one request, so an operator can see where a single slow request
-// spent its time (which layer, which device, compute or comm) instead of
-// only the lifetime aggregate. The serving runtime attaches one to each
-// request when Options.TraceRequests is set and surfaces it on
+// Per-request tracing. A RequestTrace records the individual per-device,
+// per-layer spans of one request, so an operator can see where a single
+// slow request spent its time (which layer, which device, compute or comm)
+// instead of only the lifetime phase counters. The serving runtime attaches
+// one to each request when Options.TraceRequests is set and surfaces it on
 // Result.Trace.
 
 // Span is one timed step of one request on one device.
@@ -109,8 +108,7 @@ func (t *RequestTrace) Spans() []Span {
 	return append([]Span(nil), t.spans...)
 }
 
-// PhaseTotals sums the recorded spans by phase — the request-local
-// equivalent of a Recorder breakdown.
+// PhaseTotals sums the recorded spans by phase across every device.
 func (t *RequestTrace) PhaseTotals() map[Phase]time.Duration {
 	totals := make(map[Phase]time.Duration, 3)
 	if t == nil {

@@ -37,8 +37,10 @@ GOARCH=arm64 go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race ./internal/cluster/... ./internal/comm/... ./internal/trace/... ./internal/obs/... ./internal/adapt/... ./internal/balance/..."
-go test -race ./internal/cluster/... ./internal/comm/... ./internal/trace/... ./internal/obs/... ./internal/adapt/... ./internal/balance/...
+echo "== go test -race (concurrent packages)"
+go test -race ./internal/cluster/... ./internal/comm/... ./internal/trace/... \
+    ./internal/obs/... ./internal/adapt/... ./internal/balance/... \
+    ./internal/sched/... ./internal/server/... ./internal/metrics/... ./internal/loadgen/...
 
 echo "== chaos: go test -race -count=2 (fault-injection suite)"
 go test -race -count=2 -run \
@@ -223,16 +225,18 @@ kill "$BD_PID" 2>/dev/null || true
 wait "$BD_PID" 2>/dev/null || true
 
 echo "== batched-chaos smoke: worker killed mid-batch, streams still complete"
-# Same concurrent-generate workload, but rank 1's transport dies after 21
+# Same concurrent-generate workload, but rank 0's transport dies after 21
 # receives — past the 4 co-batched prefills (4 receives each), into the
-# fused decode steps (1 receive per step). With -retries 2 the batcher must
-# blame rank 1, re-slice over the survivors, and resume: every stream still
-# finishes cleanly and /metrics records the recovery.
+# fused decode steps (1 receive per step). Rank 0 is the lowest live rank,
+# so it reports the fused rows the terminal waits on every step and the
+# fault cannot miss the batch. With -retries 2 the batcher must blame rank
+# 0, re-slice over the survivors, and resume: every stream still finishes
+# cleanly and /metrics records the recovery.
 BC_ADDR="127.0.0.1:19158"
 BC_LOG="$(mktemp)"
 go run ./cmd/voltage-server -local 3 -model tiny-decoder -listen "$BC_ADDR" \
     -gateway-workers 4 -max-batch 8 -batch-window 200ms -retries 2 \
-    -chaos-kill-rank 1 -chaos-kill-after 21 \
+    -chaos-kill-rank 0 -chaos-kill-after 21 \
     -hold 60s -drain-timeout 5s >"$BC_LOG" 2>&1 &
 BC_PID=$!
 trap 'kill "$ADMIN_PID" "$GW_PID" "$BD_PID" "$BC_PID" 2>/dev/null || true; rm -f "$ADMIN_LOG" "$GW_LOG" "$BD_LOG" "$BC_LOG"' EXIT
